@@ -31,11 +31,13 @@
 //	               binary delta frame (tmd1 — carries its base digest) or
 //	               the one-line text form ("patch +3:2>17:2 -5:1>6:1") with
 //	               the base digest in ?base= or X-Topomap-Base. Query
-//	               parameters: maxdirty (incremental-vs-full threshold
-//	               fraction; 1 never falls back), graph=0. Responses carry
-//	               X-Topomap-Remap: incremental|full and X-Topomap-Digest
-//	               (the post-delta content address, the base for the next
-//	               PATCH). 412 = base not cached; re-POST the full graph.
+//	               parameter: graph=0. No PATCH runs the engine; a delta
+//	               dirtying over a quarter of the labels is rebuilt
+//	               structurally. Responses carry X-Topomap-Remap:
+//	               incremental|full, X-Topomap-Remapped: 1 (zero
+//	               protocol counters) and X-Topomap-Digest (the post-delta
+//	               content address, the base for the next PATCH).
+//	               412 = base not cached; re-POST the full graph.
 //	               Requires -cache-bytes > 0 (501 otherwise).
 //	GET|POST /map  ?family=ring&n=64&seed=1 — generator shorthand: build a
 //	               member of a built-in family instead of posting a body.
@@ -271,16 +273,16 @@ type progressEvent struct {
 
 // mapResult is the wire form of a completed mapping.
 type mapResult struct {
-	N            int    `json:"n"`
-	Delta        int    `json:"delta"`
-	Edges        int    `json:"edges"`
-	Root         int    `json:"root"`
-	Ticks        int    `json:"ticks"`
-	Messages     int64  `json:"messages"`
-	Transactions int    `json:"transactions"`
-	Exact        bool   `json:"exact"`
+	N            int   `json:"n"`
+	Delta        int   `json:"delta"`
+	Edges        int   `json:"edges"`
+	Root         int   `json:"root"`
+	Ticks        int   `json:"ticks"`
+	Messages     int64 `json:"messages"`
+	Transactions int   `json:"transactions"`
+	Exact        bool  `json:"exact"`
 	// Remapped marks a result whose entry was produced by a PATCH-time
-	// structural patch, not an engine run: the topology is authoritative but
+	// structural remap, not an engine run: the topology is authoritative but
 	// ticks/messages/transactions are zero (no protocol ran).
 	Remapped  bool   `json:"remapped,omitempty"`
 	ElapsedMS int64  `json:"elapsed_ms"`
@@ -485,7 +487,7 @@ func (s *server) writeResult(w http.ResponseWriter, ent *topomap.CachedResult, r
 		w.Header().Set("X-Topomap-Digest", digest)
 	}
 	if ent.Remapped() {
-		// The entry came from a structural patch, so its protocol counters
+		// The entry came from a structural remap, so its protocol counters
 		// are zero; the header flags it on the binary path too, where the
 		// tmr1 frame has no field for it.
 		w.Header().Set("X-Topomap-Remapped", "1")

@@ -60,8 +60,8 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("topomapd_cache_misses_total", "Submits that started a fresh engine run.", st.CacheMisses)
 	counter("topomapd_cache_shared_total", "Submits collapsed onto an in-flight run.", st.CacheShared)
 	counter("topomapd_cache_evictions_total", "Cache entries displaced by the byte bound.", st.CacheEvictions)
-	counter("topomapd_remap_incremental_total", "PATCH remaps served by the structural patch (no engine run).", st.RemapIncremental)
-	counter("topomapd_remap_full_total", "PATCH remaps that fell back to a full protocol run.", st.RemapFull)
+	counter("topomapd_remap_incremental_total", "PATCH remaps served by the suffix patch.", st.RemapIncremental)
+	counter("topomapd_remap_full_total", "PATCH remaps served by a full structural rebuild.", st.RemapFull)
 	counter("topomapd_remap_shared_total", "PATCH remaps collapsed onto an identical patch in flight.", st.RemapShared)
 	counter("topomapd_remap_base_misses_total", "PATCH remaps rejected because the base digest was not cached.", st.RemapBaseMisses)
 	gauge("topomapd_cache_bytes", "Accounted bytes held by the result cache.", st.CacheBytes)

@@ -1,13 +1,11 @@
 package main
 
 import (
-	"context"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
@@ -36,11 +34,13 @@ type patchResult struct {
 // digest — or the one-line text form ("patch +3:2>17:2 ..."), with the base
 // digest supplied by ?base= or the X-Topomap-Base header (64 hex chars).
 // Delta node ids live in the base reconstruction's label space (node 0 =
-// root). ?maxdirty= overrides the incremental-vs-full threshold (a fraction
-// in (0,1]; 1 never falls back). Responses carry X-Topomap-Remap
-// (incremental|full) and X-Topomap-Digest (the post-delta address); an
-// Accept header naming application/x-topomap negotiates a binary result
-// frame. 412 means the base is not cached — POST the full graph instead.
+// root). No PATCH runs the engine: a delta that dirties over a quarter of
+// the labels is served by a full structural rebuild instead of the suffix
+// patch. Responses carry X-Topomap-Remap (incremental|full),
+// X-Topomap-Remapped: 1 unless an engine run had already cached the
+// result, and X-Topomap-Digest (the post-delta address); an Accept header
+// naming application/x-topomap negotiates a binary result frame. 412 means
+// the base is not cached — POST the full graph instead.
 func (s *server) handlePatch(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	body := &countingReader{r: io.LimitReader(r.Body, maxDeltaBodyBytes)}
@@ -79,15 +79,6 @@ func (s *server) handlePatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.codec.countRequest(inCodec)
 
-	opts := topomap.RemapOptions{}
-	if v := q.Get("maxdirty"); v != "" {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f <= 0 {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("bad maxdirty %q: want a fraction in (0,1]", v))
-			return
-		}
-		opts.MaxDirtyFrac = f
-	}
 	withGraph := q.Get("graph") != "0"
 	outCodec := codecJSON
 	if acceptsBinary(r) {
@@ -97,7 +88,7 @@ func (s *server) handlePatch(w http.ResponseWriter, r *http.Request) {
 	s.codec.countResponse(outCodec)
 
 	start := time.Now()
-	out, err := s.svc.Remap(r.Context(), base, d, opts)
+	out, err := s.svc.Remap(r.Context(), base, d)
 	if err != nil {
 		remapError(w, err)
 		return
@@ -107,7 +98,7 @@ func (s *server) handlePatch(w http.ResponseWriter, r *http.Request) {
 
 	ent := out.Cached
 	if ent.Remapped() {
-		// Patch-produced entry: the counters below are zero because no
+		// Remap-produced entry: the counters below are zero because no
 		// protocol ran. Same flag a later POST hit on this entry carries.
 		w.Header().Set("X-Topomap-Remapped", "1")
 	}
@@ -182,21 +173,14 @@ func parseDeltaText(data []byte) (*topomap.Delta, error) {
 
 // remapError maps Remap failures to status codes: a missing base is 412 (the
 // precondition — a cached base — failed; re-POST the full graph), a cache-less
-// daemon is 501, backpressure and shutdown are 503, deadlines 504, and
-// everything else (malformed or model-breaking deltas) 422.
+// daemon is 501, and everything else (malformed or model-breaking deltas)
+// 422. A remap never queues for the engine, so there is no 503 or 504.
 func remapError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, topomap.ErrUnknownBase):
 		httpError(w, http.StatusPreconditionFailed, err.Error())
 	case errors.Is(err, topomap.ErrRemapNoCache):
 		httpError(w, http.StatusNotImplemented, "the result cache is off (-cache-bytes); PATCH needs it")
-	case errors.Is(err, topomap.ErrQueueFull):
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, "job queue full, retry")
-	case errors.Is(err, topomap.ErrServiceClosed):
-		httpError(w, http.StatusServiceUnavailable, "daemon is draining")
-	case errors.Is(err, context.DeadlineExceeded):
-		httpError(w, http.StatusGatewayTimeout, err.Error())
 	default:
 		httpError(w, http.StatusUnprocessableEntity, err.Error())
 	}

@@ -39,7 +39,7 @@ func doPatch(t *testing.T, url, contentType string, body []byte) (*http.Response
 }
 
 // TestPatchEndToEnd: POST a graph, then PATCH deltas against its digest —
-// text and binary bodies, incremental and fallback paths, chained digests —
+// text and binary bodies, incremental and full paths, chained digests —
 // and confirm every patched reconstruction matches a from-scratch map of the
 // mutated network, with the counters and headers to prove how it was served.
 func TestPatchEndToEnd(t *testing.T) {
@@ -150,21 +150,44 @@ func TestPatchEndToEnd(t *testing.T) {
 		t.Fatal("chained digest is not the mutated network's content address")
 	}
 
-	// A root-tree rewire dirties everything: the fallback serves it, bit-
-	// equal, with the header saying so.
+	// A root-tree rewire dirties everything: the full structural rebuild
+	// serves it, bit-equal to a protocol run, with the header saying so and
+	// no engine run behind it.
+	var before struct{ topomap.ServiceStats }
+	getJSON(t, ts.URL+"/stats", &before)
 	d3 := new(topomap.Delta).Delete(0, 1, 1, 1).Insert(0, 1, 1, 2)
 	presp3, pr3, raw3 := doPatch(t, ts.URL+"/map?base="+hex.EncodeToString(base[:]), "text/plain", []byte(d3.MarshalText()))
 	if presp3.StatusCode != http.StatusOK {
-		t.Fatalf("fallback PATCH: %d: %s", presp3.StatusCode, raw3)
+		t.Fatalf("full PATCH: %d: %s", presp3.StatusCode, raw3)
 	}
 	if got := presp3.Header.Get("X-Topomap-Remap"); got != "full" {
 		t.Fatalf("X-Topomap-Remap = %q, want full", got)
 	}
-	if pr3.Remap != "full" || pr3.Dirty != 32 || pr3.Ticks == 0 {
-		t.Fatalf("fallback patch result: %+v", pr3)
+	if pr3.Remap != "full" || pr3.Dirty != 32 || pr3.Ticks != 0 || pr3.Messages != 0 || pr3.Transactions != 0 {
+		t.Fatalf("full patch result: %+v", pr3)
 	}
-	if pr3.Remapped || presp3.Header.Get("X-Topomap-Remapped") != "" {
-		t.Fatalf("fallback result came from a real run; must not be flagged remapped: %+v", pr3)
+	if !pr3.Remapped || presp3.Header.Get("X-Topomap-Remapped") != "1" {
+		t.Fatalf("rebuilt result ran no protocol; must be flagged remapped: %+v", pr3)
+	}
+	var after struct{ topomap.ServiceStats }
+	getJSON(t, ts.URL+"/stats", &after)
+	if after.Served != before.Served {
+		t.Fatalf("full PATCH ran the engine: Served %d -> %d", before.Served, after.Served)
+	}
+	rebuilt, err := graph.UnmarshalString(pr3.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m3 := d3.MustApplyClone(recon)
+	want3, err := topomap.Map(m3, topomap.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rebuilt.Equal(want3.Topology) {
+		t.Fatal("rebuilt reconstruction != full map of the mutated network")
+	}
+	if d := want3.Topology.CanonicalDigest(0); pr3.Digest != hex.EncodeToString(d[:]) {
+		t.Fatal("full PATCH digest is not the mutated network's content address")
 	}
 
 	// Unknown base: 412, the client's cue to POST the full graph.
@@ -228,6 +251,22 @@ func TestPatchErrors(t *testing.T) {
 	bad := new(topomap.Delta).Delete(5, 1, 6, 1)
 	if resp, _, _ := doPatch(t, ts.URL+"/map?base="+hex.EncodeToString(base[:]), "text/plain", []byte(bad.MarshalText())); resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("model-breaking delta: %d, want 422", resp.StatusCode)
+	}
+	// Over-threshold and model-breaking: the root still reaches every node,
+	// but 10 and 11 become a sink cycle (the chord 9→12 cuts the preorder at
+	// 10, dirtying 6 of 16). The full rebuild's model check refuses it and
+	// nothing is cached.
+	var before struct{ topomap.ServiceStats }
+	getJSON(t, ts.URL+"/stats", &before)
+	sink := new(topomap.Delta).Delete(11, 1, 12, 1).Insert(11, 1, 10, 2).Insert(9, 2, 12, 2)
+	if resp, _, raw := doPatch(t, ts.URL+"/map?base="+hex.EncodeToString(base[:]), "text/plain", []byte(sink.MarshalText())); resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("sink-cycle delta: %d, want 422: %s", resp.StatusCode, raw)
+	}
+	var after struct{ topomap.ServiceStats }
+	getJSON(t, ts.URL+"/stats", &after)
+	if after.CacheEntries != before.CacheEntries || after.RemapFull != before.RemapFull {
+		t.Fatalf("rejected delta cached (%d -> %d entries) or counted (full %d -> %d)",
+			before.CacheEntries, after.CacheEntries, before.RemapFull, after.RemapFull)
 	}
 
 	// Cache off: PATCH is 501.

@@ -12,41 +12,39 @@ import (
 	"topomap/internal/remap"
 )
 
-// E21IncrementalRemap charts incremental-vs-full remap cost as a function of
-// delta size across the ring/torus/er/ba families: the dynamic-network
-// experiment behind Session.Remap and PATCH /map.
+// E21IncrementalRemap charts remap cost as a function of delta size across
+// the ring/torus/er/ba families: the dynamic-network experiment behind
+// Session.Remap and PATCH /map.
 //
-// Comparator discipline. The "full remap" a serving tier pays without the
-// delta layer is a cold protocol run of the mutated network. That is measured
-// directly at engine-feasible sizes (the small-N block of each family); at
-// the large sizes — including the headline ring-10^4 — the protocol's tick
-// growth makes a direct run infeasible (that infeasibility is the point of
-// the incremental path), so the engine cost is extrapolated per family as
-// t(mid)·(N/mid)^α with α fit from the family's two engine-measured sizes,
-// and the measured clone+structural-rebuild (remap.Rebuild, itself only
-// correct because of this PR's preorder theorem) is shown alongside as a
-// conservative measured lower bound. Correctness never extrapolates: every
-// patched reconstruction is graph.Equal to — and shares CanonicalDigest(0)
-// with — its full-map reference (the engine result where measured, the
-// structural rebuild above that).
+// Comparator discipline. What a serving tier would pay without the remap
+// layer is a cold protocol run of the mutated network. That is measured
+// directly at engine-feasible sizes (each family's small block); at the
+// large sizes — including the headline ring-10^4 — a protocol run is
+// infeasible, so those rows carry no engine figure and no speedup: nothing
+// is extrapolated. Every row also shows the measured clone + plain
+// structural rebuild (remap.Rebuild), the cost of remapping without the
+// suffix cut. Correctness is checked on every row: the remapped
+// reconstruction is graph.Equal to — and shares CanonicalDigest(0) with —
+// its reference (the engine result where measured, the structural rebuild
+// above that).
 //
 // Delta kinds per family: label-stable batches of 1/8/64 edge ops (chord
 // inserts on families with free ports, crossed rewires of non-tree edges on
 // port-saturated ones like the torus), a bounded-replay chord dirtying ~N/8
-// labels, and a "deep" delta dirtying more than the 25% fallback threshold —
-// which must refuse the patch (remap.ErrTooDirty), take the engine path, and
-// be counted.
+// labels, and a "deep" delta dirtying more than the 25% threshold — which
+// Patch must refuse (remap.ErrTooDirty) and remap.Apply must serve by the
+// full structural rebuild, counted.
 func E21IncrementalRemap(s Scale) (*Table, error) {
 	t := &Table{
 		ID:    "E21",
 		Title: "Incremental remap vs full remap for dynamic networks",
-		Claim: "perf: single-edge deltas patch ≥10× under the full remap on ring-10^4 with bit-equal results; over-threshold deltas fall back to the engine and are counted",
+		Claim: "perf: at engine-feasible sizes every remap, over-threshold deltas included, runs ≥10× under a measured engine run of the mutated network, bit-equal; single-edge deltas stay in the patch path up to ring-10^4; over-threshold deltas are served by the structural rebuild and counted",
 		Columns: []string{"family", "n", "delta", "ops", "dirty", "path",
-			"inc µs", "struct µs", "full ms", "full", "speedup", "equal"},
+			"remap µs", "struct µs", "engine ms", "speedup", "equal"},
 	}
-	small, mid := 48, 96
+	small := 48
 	if s == Full {
-		small, mid = 96, 192
+		small = 96
 	}
 	families := []struct {
 		name  string
@@ -62,171 +60,93 @@ func E21IncrementalRemap(s Scale) (*Table, error) {
 	sess := topomap.NewSession(topomap.Options{Workers: 1})
 	defer sess.Close()
 
-	fallbacks := 0
+	fulls := 0
 	for _, f := range families {
-		tSmall, nSmall, err := e21EngineRows(t, sess, f.name, f.fam, small, &fallbacks)
-		if err != nil {
+		if err := e21Block(t, sess, f.name, f.fam, small, []int{1}, &fulls); err != nil {
 			return nil, fmt.Errorf("e21 %s/%d: %v", f.name, small, err)
 		}
-		gMid, err := graph.Build(f.fam, mid, 1)
-		if err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		if _, err := sess.Map(gMid); err != nil {
-			return nil, err
-		}
-		tMid, nMid := time.Since(start), gMid.N()
-		alpha := math.Log(float64(tMid)/float64(tSmall)) / math.Log(float64(nMid)/float64(nSmall))
-		if alpha < 1.5 {
-			alpha = 1.5 // timer-noise guard; the protocol is superquadratic
-		} else if alpha > 3.5 {
-			alpha = 3.5
-		}
-		t.Notes = append(t.Notes, fmt.Sprintf("α(%s) = %.2f fit from engine runs at N=%d (%.0f ms) and N=%d (%.0f ms)",
-			f.name, alpha, nSmall, float64(tSmall.Microseconds())/1e3, nMid, float64(tMid.Microseconds())/1e3))
-		if err := e21StructRows(t, f.name, f.fam, f.large, nMid, tMid, alpha); err != nil {
+		if err := e21Block(t, nil, f.name, f.fam, f.large, []int{1, 8, 64}, &fulls); err != nil {
 			return nil, fmt.Errorf("e21 %s/%d: %v", f.name, f.large, err)
 		}
 	}
 	t.Notes = append(t.Notes,
-		"full = engine: measured cold protocol run of the mutated network (Workers=1, warm session); full = est: that cost extrapolated as t(mid)·(N/mid)^α — direct engine runs at the large sizes are infeasible, which is the penalty the incremental path removes",
-		"struct µs is the measured clone + structural rebuild (remap.Rebuild) of the mutated network: the theorem-powered full rebuild, a conservative measured lower bound on any full remap",
-		"equal: the patched reconstruction is graph.Equal to and shares CanonicalDigest(0) with the full-map reference — the engine result on engine-measured rows, the structural rebuild elsewhere; correctness is never extrapolated",
-		fmt.Sprintf("deep deltas (dirty > 25%% of N) refused the patch (remap.ErrTooDirty) and fell back to the engine %d times — counted, speedup 1.00 by construction; their forced patches (maxdirty=1) are also bit-equal", fallbacks),
-		"the ring-10000 ins×1 row is the PR's acceptance bound: incremental remap ≥10× under the full remap for a single-edge delta")
+		"remap µs: remap.Apply, the path Session.Remap and PATCH /map take — the suffix patch, or for an over-threshold delta the full structural rebuild (clone + model check + Rebuild); best of 16 after a warm-up",
+		"struct µs: clone + remap.Rebuild of the mutated network, a plain rebuild without the suffix cut; best of 8",
+		"engine ms: a measured cold protocol run of the mutated network (Workers=1, warm session) at the engine-feasible size; — above it, where a run is infeasible and no figure is extrapolated; speedup = engine / remap",
+		"equal: the remapped reconstruction is graph.Equal to and shares CanonicalDigest(0) with the engine result where measured, the structural rebuild elsewhere; deep rows also check a forced suffix replay (MaxDirtyFrac 1) against it",
+		fmt.Sprintf("over-threshold deltas (dirty > 25%% of N) were refused by the patch (remap.ErrTooDirty) and served by the full structural rebuild %d times (path full), with no engine run", fulls),
+		"the ring-10000 ins×1 row is the single-edge headline: a patch of one chord on a network whose protocol run is infeasible")
 	return t, nil
 }
 
-// e21EngineRows emits one family's engine-measured block at an engine-
-// feasible size: label-stable, bounded-replay, and over-threshold deltas,
-// each compared against a real cold protocol run of the mutated network.
-// It returns the cold-map time and node count of the base graph for the
-// family's scaling fit.
-func e21EngineRows(t *Table, sess *topomap.Session, name string, fam graph.Family, size int, fallbacks *int) (time.Duration, int, error) {
+// e21Block emits one family's rows at one size: label-stable batches of each
+// size in ks, a bounded-replay chord, and an over-threshold deep delta. With
+// a session the base and every mutated network are mapped by the engine,
+// which is both the reference and the timed comparator; without one (the
+// large sizes) the structural rebuild is the reference and no engine time is
+// reported.
+func e21Block(t *Table, sess *topomap.Session, name string, fam graph.Family, size int, ks []int, fulls *int) error {
 	g, err := graph.Build(fam, size, 1)
 	if err != nil {
-		return 0, 0, err
+		return err
 	}
-	start := time.Now()
-	res, err := sess.Map(g)
-	if err != nil {
-		return 0, 0, err
+	var recon *graph.Graph
+	if sess != nil {
+		res, err := sess.Map(g)
+		if err != nil {
+			return err
+		}
+		recon = res.Topology
+	} else if recon, _, err = remap.Rebuild(g, 0); err != nil {
+		return err
 	}
-	tBase := time.Since(start)
-	recon := res.Topology
 	st, err := remap.Derive(recon)
 	if err != nil {
-		return 0, 0, err
-	}
-	n := recon.N()
-
-	kinds := []struct {
-		build func() (*graph.Delta, string, error)
-		deep  bool
-	}{
-		{func() (*graph.Delta, string, error) { return e21StableDelta(recon, st, 1) }, false},
-		{func() (*graph.Delta, string, error) { return e21RiskyDelta(recon, st, n-n/8, n-2, "chord") }, false},
-		{func() (*graph.Delta, string, error) { return e21RiskyDelta(recon, st, 1, n/2, "deep") }, true},
-	}
-	for _, k := range kinds {
-		d, label, err := k.build()
-		if err != nil {
-			return 0, 0, err
-		}
-		g1, err := d.ApplyClone(recon)
-		if err != nil {
-			return 0, 0, err
-		}
-		startMut := time.Now()
-		resMut, err := sess.Map(g1)
-		if err != nil {
-			return 0, 0, err
-		}
-		full := time.Since(startMut)
-		structT, err := e21Time(8, func() error {
-			g2, err := d.ApplyClone(recon)
-			if err != nil {
-				return err
-			}
-			_, _, err = remap.Rebuild(g2, 0)
-			return err
-		})
-		if err != nil {
-			return 0, 0, err
-		}
-
-		if k.deep {
-			// The patch must refuse at the default threshold; the serve cost
-			// of the fallback is the engine run itself.
-			if _, err := remap.Patch(recon, st, d, remap.Options{}); !errors.Is(err, remap.ErrTooDirty) {
-				return 0, 0, fmt.Errorf("deep delta did not trip the fallback threshold: %v", err)
-			}
-			*fallbacks++
-			forced, err := remap.Patch(recon, st, d, remap.Options{MaxDirtyFrac: 1})
-			if err != nil {
-				return 0, 0, err
-			}
-			e21Row(t, name, n, label, len(d.Ops), forced.Dirty, "fallback",
-				full, structT, full, "engine", e21Equal(forced.Graph, resMut.Topology))
-			continue
-		}
-
-		var pr *remap.Result
-		inc, err := e21Time(16, func() error {
-			var perr error
-			pr, perr = remap.Patch(recon, st, d, remap.Options{})
-			return perr
-		})
-		if err != nil {
-			return 0, 0, err
-		}
-		path := "stable"
-		if pr.Replayed {
-			path = "replay"
-		}
-		e21Row(t, name, n, label, len(d.Ops), pr.Dirty, path,
-			inc, structT, full, "engine", e21Equal(pr.Graph, resMut.Topology))
-	}
-	return tBase, n, nil
-}
-
-// e21StructRows emits one family's large-N block: the delta-size sweep
-// (1/8/64 edge ops) plus a bounded replay, with the engine comparator
-// extrapolated and equality pinned against the structural full rebuild.
-func e21StructRows(t *Table, name string, fam graph.Family, size, nMid int, tMid time.Duration, alpha float64) error {
-	g, err := graph.Build(fam, size, 1)
-	if err != nil {
-		return err
-	}
-	recon, st, err := remap.Rebuild(g, 0)
-	if err != nil {
 		return err
 	}
 	n := recon.N()
-	est := time.Duration(float64(tMid) * math.Pow(float64(n)/float64(nMid), alpha))
 
-	deltas := make([]*graph.Delta, 0, 4)
-	labels := make([]string, 0, 4)
-	for _, k := range []int{1, 8, 64} {
-		d, label, err := e21StableDelta(recon, st, k)
-		if err != nil {
-			return err
-		}
+	var deltas []*graph.Delta
+	var labels []string
+	add := func(d *graph.Delta, label string, err error) error {
 		deltas, labels = append(deltas, d), append(labels, label)
-	}
-	d, label, err := e21RiskyDelta(recon, st, n-n/8, n-2, "chord")
-	if err != nil {
 		return err
 	}
-	deltas, labels = append(deltas, d), append(labels, label)
+	for _, k := range ks {
+		if err := add(e21StableDelta(recon, st, k)); err != nil {
+			return err
+		}
+	}
+	if err := add(e21RiskyDelta(recon, st, n-n/8, n-2, "chord")); err != nil {
+		return err
+	}
+	if err := add(e21RiskyDelta(recon, st, 1, n/2, "deep")); err != nil {
+		return err
+	}
 
 	for i, d := range deltas {
-		var pr *remap.Result
-		inc, err := e21Time(16, func() error {
-			var perr error
-			pr, perr = remap.Patch(recon, st, d, remap.Options{})
-			return perr
+		g1, err := d.ApplyClone(recon)
+		if err != nil {
+			return err
+		}
+		engine := time.Duration(-1)
+		var ref *graph.Graph
+		if sess != nil {
+			start := time.Now()
+			res, err := sess.Map(g1)
+			if err != nil {
+				return err
+			}
+			engine, ref = time.Since(start), res.Topology
+		} else if ref, _, err = remap.Rebuild(g1, 0); err != nil {
+			return err
+		}
+
+		var rr *remap.Result
+		remapT, err := e21Time(16, func() error {
+			var err error
+			rr, err = remap.Apply(recon, st, d)
+			return err
 		})
 		if err != nil {
 			return err
@@ -242,38 +162,50 @@ func e21StructRows(t *Table, name string, fam graph.Family, size, nMid int, tMid
 		if err != nil {
 			return err
 		}
-		g1, err := d.ApplyClone(recon)
-		if err != nil {
-			return err
-		}
-		ref, _, err := remap.Rebuild(g1, 0)
-		if err != nil {
-			return err
-		}
+
+		equal := e21Equal(rr.Graph, ref)
 		path := "stable"
-		if pr.Replayed {
+		switch {
+		case rr.Full:
+			path = "full"
+		case rr.Replayed:
 			path = "replay"
 		}
-		e21Row(t, name, n, labels[i], len(d.Ops), pr.Dirty, path,
-			inc, structT, est, "est", e21Equal(pr.Graph, ref))
+		if labels[i] == "deep" {
+			if _, err := remap.Patch(recon, st, d, remap.Options{}); !errors.Is(err, remap.ErrTooDirty) || !rr.Full {
+				return fmt.Errorf("deep delta did not take the full rebuild: %v", err)
+			}
+			*fulls++
+			forced, err := remap.Patch(recon, st, d, remap.Options{MaxDirtyFrac: 1})
+			if err != nil {
+				return err
+			}
+			equal = equal && e21Equal(forced.Graph, ref)
+		}
+		e21Row(t, name, n, labels[i], len(d.Ops), rr.Dirty, path, remapT, structT, engine, equal)
 	}
 	return nil
 }
 
-// e21Row appends one measured row.
+// e21Row appends one measured row; a negative engine time means none was
+// measured.
 func e21Row(t *Table, name string, n int, label string, ops, dirty int, path string,
-	inc, structT, full time.Duration, fullMode string, equal bool) {
-	speedup := float64(full) / float64(inc)
+	remapT, structT, engine time.Duration, equal bool) {
+	engineMS, speedup := "—", "—"
+	if engine >= 0 {
+		engineMS = e21Big(float64(engine.Nanoseconds()) / 1e6)
+		speedup = e21Big(float64(engine) / float64(remapT))
+	}
 	eq := "yes"
 	if !equal {
 		eq = "NO"
 	}
 	t.Rows = append(t.Rows, []string{name, fmtI(n), label, fmtI(ops), fmtI(dirty), path,
-		fmtF(float64(inc.Nanoseconds()) / 1e3), fmtF(float64(structT.Nanoseconds()) / 1e3),
-		e21Big(float64(full.Nanoseconds()) / 1e6), fullMode, e21Big(speedup), eq})
+		fmtF(float64(remapT.Nanoseconds()) / 1e3), fmtF(float64(structT.Nanoseconds()) / 1e3),
+		engineMS, speedup, eq})
 }
 
-// e21Big formats values spanning microseconds to extrapolated hours.
+// e21Big formats values spanning microseconds to large speedups.
 func e21Big(v float64) string {
 	if v >= 1000 {
 		return fmt.Sprintf("%.2e", v)

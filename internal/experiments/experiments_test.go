@@ -319,35 +319,42 @@ func checkInvariants(t *testing.T, id string, table *Table) {
 			t.Errorf("E20 has %d serve rows, want 1", serves)
 		}
 	case "e21":
-		// The incremental-remap acceptance gate: every patched result
-		// bit-equal to its full-map reference, every non-fallback row ≥10×
-		// under the full remap (the ring-10000 single-edge row is the PR's
-		// acceptance bound), and the over-threshold deltas actually falling
-		// back.
+		// The remap acceptance gate: every remapped result bit-equal to its
+		// reference, every row with a measured engine cost ≥10× under it
+		// (over-threshold rows included: they are structural rebuilds, not
+		// engine runs), the over-threshold deltas actually taking the full
+		// rebuild, and the ring-10000 single-edge row present.
 		fam, n, dl := col(table, "family"), col(table, "n"), col(table, "delta")
-		path, speedup, eq := col(table, "path"), col(table, "speedup"), col(table, "equal")
-		fallbacks, headline := 0, false
+		path, engine := col(table, "path"), col(table, "engine ms")
+		speedup, eq := col(table, "speedup"), col(table, "equal")
+		fulls, measured, headline := 0, 0, false
 		for _, row := range table.Rows {
 			if row[eq] != "yes" {
-				t.Errorf("E21 patched result diverges from the full map: %v", row)
+				t.Errorf("E21 remapped result diverges from the full map: %v", row)
 			}
-			if row[path] == "fallback" {
-				fallbacks++
-				continue
-			}
-			v, err := strconv.ParseFloat(row[speedup], 64)
-			if err != nil || v < 10 {
-				t.Errorf("E21 speedup %q < 10×: %v", row[speedup], row)
+			if row[path] == "full" {
+				fulls++
 			}
 			if row[fam] == "ring" && row[n] == "10000" && row[dl] == "ins×1" {
 				headline = true
 			}
+			if row[engine] == "—" {
+				continue
+			}
+			measured++
+			v, err := strconv.ParseFloat(row[speedup], 64)
+			if err != nil || v < 10 {
+				t.Errorf("E21 speedup %q < 10×: %v", row[speedup], row)
+			}
 		}
-		if fallbacks == 0 {
-			t.Error("E21 never took the fallback path: the threshold is untested")
+		if fulls == 0 {
+			t.Error("E21 never took the full rebuild: the threshold is untested")
+		}
+		if measured == 0 {
+			t.Error("E21 measured no engine comparator")
 		}
 		if !headline {
-			t.Error("E21 missing the ring-10000 single-edge acceptance row")
+			t.Error("E21 missing the ring-10000 single-edge row")
 		}
 	case "e14":
 		// Dense and sparse scheduling must be observationally identical

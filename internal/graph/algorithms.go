@@ -4,15 +4,34 @@ import (
 	"fmt"
 )
 
-// StronglyConnected reports whether every node can reach every other node.
-// It uses Tarjan's algorithm (iterative) and reports true iff there is a
-// single strongly connected component covering all nodes.
+// StronglyConnected reports whether every node can reach every other node:
+// node 0 reaches every node along out-edges and, along in-edges, every node
+// reaches node 0. Two linear sweeps over the port tables, two allocations.
 func (g *Graph) StronglyConnected() bool {
 	n := g.N()
 	if n == 0 {
 		return false
 	}
-	return len(g.SCCs()) == 1
+	seen := make([]bool, n)
+	queue := make([]int32, 0, n)
+	return reachesAll(g.out, seen, queue) && reachesAll(g.in, seen, queue)
+}
+
+// reachesAll reports whether a BFS from node 0 over the endpoint table adj
+// (out or in rows) visits every node. seen and queue are scratch.
+func reachesAll(adj [][]Endpoint, seen []bool, queue []int32) bool {
+	clear(seen)
+	seen[0] = true
+	queue = append(queue[:0], 0)
+	for head := 0; head < len(queue); head++ {
+		for _, e := range adj[queue[head]] {
+			if e.Node != NoPort && !seen[e.Node] {
+				seen[e.Node] = true
+				queue = append(queue, int32(e.Node))
+			}
+		}
+	}
+	return len(queue) == len(seen)
 }
 
 // SCCs returns the strongly connected components of g, each as a sorted list

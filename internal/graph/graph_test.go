@@ -159,6 +159,33 @@ func TestSCCs(t *testing.T) {
 	}
 }
 
+// TestStronglyConnectedMatchesSCCs pins the two-sweep reachability check to
+// Tarjan's component count across the family corpus, intact and with each of
+// a handful of edges cut (cuts that break strong connectivity included).
+func TestStronglyConnectedMatchesSCCs(t *testing.T) {
+	for _, fam := range AllFamilies() {
+		for _, n := range []int{16, 40} {
+			g, err := Build(fam, n, 3)
+			if err != nil {
+				continue // size not realisable by this family
+			}
+			if got, want := g.StronglyConnected(), len(g.SCCs()) == 1; got != want {
+				t.Fatalf("%v/%d: StronglyConnected %v, SCCs say %v", fam, n, got, want)
+			}
+			edges := g.Edges()
+			for i := 0; i < len(edges); i += 1 + len(edges)/8 {
+				h := g.Clone()
+				if _, err := h.Disconnect(edges[i].From, edges[i].OutPort); err != nil {
+					t.Fatal(err)
+				}
+				if got, want := h.StronglyConnected(), len(h.SCCs()) == 1; got != want {
+					t.Fatalf("%v/%d minus %v: StronglyConnected %v, SCCs say %v", fam, n, edges[i], got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestBFSDistancesAgainstBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

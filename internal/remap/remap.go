@@ -20,6 +20,10 @@
 // t*−1 was assigned (the ancestor chain of node t*−1 plus per-frame port
 // progress) and resumes the traversal on the mutated graph, touching only
 // the suffix. A full structural rebuild is the same replay with t* = 0.
+//
+// Apply is the serving entry point: Patch when the dirty suffix is small, and
+// the full structural rebuild when Patch refuses with ErrTooDirty. Neither
+// path runs the protocol.
 package remap
 
 import (
@@ -31,12 +35,12 @@ import (
 
 // DefaultMaxDirtyFrac is the fallback threshold: a patch whose estimated
 // dirty suffix exceeds this fraction of the post-delta node count refuses
-// with ErrTooDirty so the caller can run a full protocol remap instead.
+// with ErrTooDirty, and Apply serves it by a full structural rebuild instead.
 const DefaultMaxDirtyFrac = 0.25
 
 // ErrTooDirty reports that the delta invalidates more of the reconstruction
-// than the configured fraction allows; the caller should fall back to a full
-// remap. It is returned before any node-count-sized work is done.
+// than the configured fraction allows; Apply then rebuilds the whole
+// reconstruction. It is returned before any node-count-sized work is done.
 var ErrTooDirty = errors.New("remap: dirty set exceeds the fallback threshold")
 
 // State is the remap metadata for one reconstruction: the DFS tree that
@@ -74,13 +78,42 @@ type Result struct {
 	// Replayed reports whether the suffix replay ran at all; a false value
 	// means the O(k) label-stable path served the patch.
 	Replayed bool
+	// Full reports that the delta was over the threshold and Apply rebuilt
+	// the whole reconstruction (Dirty is then the node count).
+	Full bool
+}
+
+// Apply remaps the reconstruction prev (with state st) under d: Patch with
+// the default threshold, and for a delta Patch refuses with ErrTooDirty a
+// full structural rebuild of the mutated graph. The rebuild validates the
+// whole model first — strong connectivity both ways, since Rebuild itself
+// only proves that the root reaches every node. Either way the result is
+// the reconstruction a protocol run of the mutated network returns, and prev
+// is never mutated.
+func Apply(prev *graph.Graph, st *State, d *graph.Delta) (*Result, error) {
+	res, err := Patch(prev, st, d, Options{})
+	if !errors.Is(err, ErrTooDirty) {
+		return res, err
+	}
+	g1, err := d.ApplyClone(prev)
+	if err != nil {
+		return nil, err
+	}
+	if err := g1.Validate(); err != nil {
+		return nil, fmt.Errorf("remap: delta breaks the model: %w", err)
+	}
+	r, nst, err := Rebuild(g1, 0)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Graph: r, State: nst, Dirty: r.N(), Replayed: true, Full: true}, nil
 }
 
 // Rebuild computes the reconstruction of (g, root) structurally: the
 // DFS-preorder relabel with its remap state. By the package theorem this
 // equals the protocol's RunResult.Topology for the same (g, root); it exists
 // as the from-scratch entry point (deriving state for a graph mapped by the
-// engine) and as the full-rebuild comparator in E21.
+// engine) and as Apply's full rebuild of an over-threshold delta.
 func Rebuild(g *graph.Graph, root int) (*graph.Graph, *State, error) {
 	n := g.N()
 	if root < 0 || root >= n {

@@ -127,7 +127,7 @@ type Cached struct {
 	Exact bool
 	// Edges is the topology's wired-edge count.
 	Edges int
-	// Remapped records that this entry was produced by a structural patch
+	// Remapped records that this entry was produced by a structural remap
 	// (Pool.Remap) rather than an engine run: its topology is bit-equal to a
 	// full map's, but Res carries no protocol counters — Ticks, Messages,
 	// and Transactions are zero. Surfaced to clients so a cache hit on a

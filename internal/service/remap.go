@@ -28,10 +28,11 @@ var (
 type RemapKind int32
 
 const (
-	// RemapIncremental: the structural patch served the remap; no engine ran.
+	// RemapIncremental: the suffix patch served the remap.
 	RemapIncremental RemapKind = iota
 	// RemapFull: the delta's dirty set exceeded the threshold and a full
-	// protocol run on the mutated graph served the remap instead.
+	// structural rebuild of the mutated graph served the remap instead.
+	// Neither kind runs the engine.
 	RemapFull
 )
 
@@ -53,7 +54,7 @@ type RemapOutcome struct {
 	// Digest is the entry's content address — the canonical digest of the
 	// post-delta reconstruction anchored at its root.
 	Digest graph.Digest
-	// Kind reports the serving path; Dirty is the number of labels the patch
+	// Kind reports the serving path; Dirty is the number of labels the remap
 	// replayed (the whole node count for RemapFull).
 	Kind  RemapKind
 	Dirty int
@@ -82,13 +83,13 @@ type remapFlight struct {
 // cache under its own content address and returned with its pre-encoded wire
 // bytes — the PATCH serving path of cmd/topomapd.
 //
-// A delta whose dirty set stays within opt.MaxDirtyFrac is patched
-// structurally without touching the engine; a dirtier one falls back to a
-// full protocol run on the mutated graph through the pool's ordinary submit
-// path (queueing, singleflight, and cache population included). Concurrent
-// Remaps with the same base and delta collapse onto one patch. The result is
-// bit-equal to a from-scratch map of the mutated network either way.
-func (p *Pool) Remap(ctx context.Context, base graph.Digest, d *graph.Delta, opt remap.Options) (*RemapOutcome, error) {
+// No remap touches the engine or the job queue: a delta whose dirty set
+// stays under the threshold is patched structurally, a dirtier one is
+// rebuilt structurally (remap.Apply). Concurrent Remaps with the same base
+// and delta collapse onto one patch. The result is bit-equal to a
+// from-scratch map of the mutated network either way. ctx bounds only the
+// wait of a caller that joins a remap already in flight.
+func (p *Pool) Remap(ctx context.Context, base graph.Digest, d *graph.Delta) (*RemapOutcome, error) {
 	if p.cache == nil {
 		return nil, ErrNoCache
 	}
@@ -115,7 +116,7 @@ func (p *Pool) Remap(ctx context.Context, base graph.Digest, d *graph.Delta, opt
 			// 64-bit flight-key collision between two different deltas:
 			// sharing would hand this caller the other delta's result. Patch
 			// unshared instead — correctness over collapse.
-			return p.remapLead(ctx, ent, d, opt)
+			return p.remapLead(ent, d)
 		}
 		select {
 		case <-fl.done:
@@ -130,7 +131,7 @@ func (p *Pool) Remap(ctx context.Context, base graph.Digest, d *graph.Delta, opt
 		p.stats.remapShared.add(1)
 		return &out, nil
 	}
-	out, err := p.remapLead(ctx, ent, d, opt)
+	out, err := p.remapLead(ent, d)
 	fl.out, fl.err = out, err
 	p.remapFlights.Forget(flightKey)
 	close(fl.done)
@@ -138,72 +139,48 @@ func (p *Pool) Remap(ctx context.Context, base graph.Digest, d *graph.Delta, opt
 }
 
 // remapLead does the leader's work: derive (or reuse) the base entry's remap
-// state, patch structurally, and on ErrTooDirty fall back to a full engine
-// run of the mutated graph via the pool's own submit path.
-func (p *Pool) remapLead(ctx context.Context, ent *Cached, d *graph.Delta, opt remap.Options) (*RemapOutcome, error) {
+// state, remap structurally (remap.Apply), and cache the result under its
+// post-delta content address. No path reaches the engine.
+func (p *Pool) remapLead(ent *Cached, d *graph.Delta) (*RemapOutcome, error) {
 	st, err := ent.remapState()
 	if err != nil {
 		return nil, fmt.Errorf("service: remap state of cached entry: %w", err)
 	}
-	prev := ent.Res.Topology
-	res, patchErr := remap.Patch(prev, st, d, opt)
-	if patchErr == nil {
-		post := res.Graph.CanonicalDigest(0)
-		postKey := cache.Key{Digest: [cache.DigestSize]byte(post), Options: p.optFP}
-		ent2, ok := p.cache.Get(postKey)
-		if !ok {
-			// The patched reconstruction is bit-identical to what a full map
-			// of the mutated network returns (the remap layer's pinned
-			// equivalence), so the entry is a first-class cache citizen: a
-			// later POST of an isomorphic graph hits it. Exactness is
-			// inherited — the delta's truth is the base reconstruction
-			// itself, and the patch preserves the isomorphism class.
-			ent2 = &Cached{
-				Res:      &core.RunResult{Topology: res.Graph},
-				Text:     res.Graph.MarshalString(),
-				Exact:    ent.Exact,
-				Edges:    res.Graph.NumEdges(),
-				Remapped: true,
-			}
-			if bin, err := res.Graph.MarshalBinary(); err == nil {
-				ent2.Bin = bin
-			}
-			ent2.st.Store(res.State)
-			p.cache.Put(postKey, ent2, ent2.cost())
+	res, err := remap.Apply(ent.Res.Topology, st, d)
+	if err != nil {
+		return nil, err
+	}
+	post := res.Graph.CanonicalDigest(0)
+	postKey := cache.Key{Digest: [cache.DigestSize]byte(post), Options: p.optFP}
+	ent2, ok := p.cache.Get(postKey)
+	if !ok {
+		// The remapped reconstruction is bit-identical to what a full map of
+		// the mutated network returns (the remap layer's pinned equivalence),
+		// so the entry is a first-class cache citizen: a later POST of an
+		// isomorphic graph hits it. Exactness is inherited — the delta's
+		// truth is the base reconstruction itself, and the remap preserves
+		// the isomorphism class.
+		ent2 = &Cached{
+			Res:      &core.RunResult{Topology: res.Graph},
+			Text:     res.Graph.MarshalString(),
+			Exact:    ent.Exact,
+			Edges:    res.Graph.NumEdges(),
+			Remapped: true,
 		}
+		if bin, err := res.Graph.MarshalBinary(); err == nil {
+			ent2.Bin = bin
+		}
+		ent2.st.Store(res.State)
+		p.cache.Put(postKey, ent2, ent2.cost())
+	}
+	kind := RemapIncremental
+	if res.Full {
+		kind = RemapFull
+		p.stats.remapFull.add(1)
+	} else {
 		p.stats.remapInc.add(1)
-		return &RemapOutcome{Ent: ent2, Digest: post, Kind: RemapIncremental, Dirty: res.Dirty}, nil
 	}
-	if !errors.Is(patchErr, remap.ErrTooDirty) {
-		return nil, patchErr
-	}
-
-	// Fallback: full protocol run on the mutated graph, through Submit so it
-	// gets the ordinary treatment — queueing, engine singleflight, and cache
-	// population under the post-delta address on the way out.
-	mutated, err := d.ApplyClone(prev)
-	if err != nil {
-		return nil, err
-	}
-	root := 0
-	j, err := p.Submit(ctx, mutated, JobOptions{Root: &root})
-	if err != nil {
-		return nil, err
-	}
-	if _, err := j.Await(ctx); err != nil {
-		return nil, err
-	}
-	ent2 := j.Cached()
-	if ent2 == nil {
-		return nil, errors.New("service: remap fallback produced no cache entry")
-	}
-	p.stats.remapFull.add(1)
-	return &RemapOutcome{
-		Ent:    ent2,
-		Digest: mutated.CanonicalDigest(root),
-		Kind:   RemapFull,
-		Dirty:  mutated.N(),
-	}, nil
+	return &RemapOutcome{Ent: ent2, Digest: post, Kind: kind, Dirty: res.Dirty}, nil
 }
 
 // remapFlightKey addresses a remap flight: the base entry's cache key with

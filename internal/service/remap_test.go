@@ -34,7 +34,7 @@ func TestPoolRemapIncremental(t *testing.T) {
 
 	// A label-stable chord in reconstruction space (to < from, free ports).
 	d := new(graph.Delta).Insert(20, 2, 5, 2)
-	out, err := p.Remap(ctx, base, d, remap.Options{})
+	out, err := p.Remap(ctx, base, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestPoolRemapIncremental(t *testing.T) {
 
 	// Chaining: remap again from the post-delta digest.
 	d2 := new(graph.Delta).Insert(25, 2, 9, 2)
-	out2, err := p.Remap(ctx, out.Digest, d2, remap.Options{})
+	out2, err := p.Remap(ctx, out.Digest, d2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,8 +99,9 @@ func TestPoolRemapIncremental(t *testing.T) {
 }
 
 // TestPoolRemapFallback: a delta that dirties every label exceeds the
-// default threshold, so the remap rides the full-protocol path — counted as
-// RemapFull and indistinguishable in result bits.
+// default threshold, so the remap is a full structural rebuild — counted as
+// RemapFull, run without the engine, and indistinguishable in result bits
+// from an engine map of the mutated network.
 func TestPoolRemapFallback(t *testing.T) {
 	p := cachedPool(1)
 	defer p.Close()
@@ -115,22 +116,32 @@ func TestPoolRemapFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	prevTopo := j.Cached().Res.Topology
+	served := p.Stats().Served
 
 	// Rewiring the root's tree edge to a different in-port dirties the whole
 	// suffix (tree-edge delete → t* = 1) and changes the network.
 	d := new(graph.Delta).Delete(0, 1, 1, 1).Insert(0, 1, 1, 2)
-	out, err := p.Remap(ctx, g.CanonicalDigest(0), d, remap.Options{})
+	out, err := p.Remap(ctx, g.CanonicalDigest(0), d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Kind != RemapFull {
 		t.Fatalf("kind %v, want full", out.Kind)
 	}
-	if out.Ent.Remapped {
-		t.Fatal("fallback entry came from a real run; must not be marked Remapped")
+	if !out.Ent.Remapped {
+		t.Fatal("rebuilt entry ran no protocol; must be marked Remapped")
+	}
+	if st := out.Ent.Res.Stats; st.Ticks != 0 || st.NonBlankMessages != 0 || out.Ent.Res.Transactions != 0 {
+		t.Fatalf("rebuilt entry carries protocol counters: %+v", out.Ent.Res.Stats)
+	}
+	if !out.Ent.Exact {
+		t.Fatal("rebuilt entry did not inherit the base's Exact verdict")
 	}
 	if out.Dirty != prevTopo.N() {
-		t.Fatalf("fallback dirty %d, want %d", out.Dirty, prevTopo.N())
+		t.Fatalf("full remap dirty %d, want %d", out.Dirty, prevTopo.N())
+	}
+	if s := p.Stats(); s.Served != served {
+		t.Fatalf("full remap ran the engine (Served %d -> %d)", served, s.Served)
 	}
 	mutated, err := d.ApplyClone(prevTopo)
 	if err != nil {
@@ -146,29 +157,120 @@ func TestPoolRemapFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !out.Ent.Res.Topology.Equal(want.Topology) {
-		t.Fatal("fallback result != full engine map of the mutated network")
+		t.Fatal("full remap result != full engine map of the mutated network")
 	}
 	if out.Digest != mutated.CanonicalDigest(0) {
-		t.Fatal("fallback digest is not the post-delta content address")
+		t.Fatal("full remap digest is not the post-delta content address")
 	}
-	s := p.Stats()
-	if s.RemapFull != 1 {
-		t.Fatalf("RemapFull = %d, want 1", s.RemapFull)
+	if ent := p.Lookup(mutated, 0); ent != out.Ent {
+		t.Fatal("post-delta lookup does not hit the rebuilt entry")
 	}
-	if s.Served < 2 {
-		t.Fatalf("fallback did not ride the engine path (Served = %d)", s.Served)
+	if s := p.Stats(); s.RemapFull != 1 || s.RemapIncremental != 0 {
+		t.Fatalf("RemapFull = %d, RemapIncremental = %d, want 1, 0", s.RemapFull, s.RemapIncremental)
 	}
 
-	// MaxDirtyFrac 1 disables the fallback: same delta patches structurally.
-	out2, err := p.Remap(ctx, g.CanonicalDigest(0), d, remap.Options{MaxDirtyFrac: 1})
+	// A forced suffix replay of the same delta (threshold disabled) agrees
+	// with the rebuild on graph and content address.
+	st, err := j.Cached().remapState()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out2.Kind != RemapIncremental {
-		t.Fatalf("threshold-disabled kind %v, want incremental", out2.Kind)
+	forced, err := remap.Patch(prevTopo, st, d, remap.Options{MaxDirtyFrac: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if out2.Digest != out.Digest {
-		t.Fatal("structural and fallback remaps disagree on the content address")
+	if !forced.Graph.Equal(out.Ent.Res.Topology) || forced.Graph.CanonicalDigest(0) != out.Digest {
+		t.Fatal("structural replay and full rebuild disagree")
+	}
+}
+
+// TestPoolRemapFullRejectsUnreachableRoot: an over-threshold delta whose
+// mutated graph the root still reaches everywhere, but where two nodes can
+// no longer reach the root. Rebuild alone would accept it (it checks only
+// reachability from the root); the full model check must reject it, and no
+// entry may be cached.
+func TestPoolRemapFullRejectsUnreachableRoot(t *testing.T) {
+	p := cachedPool(1)
+	defer p.Close()
+	ctx := context.Background()
+
+	g := graph.Ring(32)
+	j, err := p.Submit(ctx, g, JobOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := await(t, j); err != nil {
+		t.Fatal(err)
+	}
+	prevTopo := j.Cached().Res.Topology
+	// Nodes 20 and 21 become a sink cycle (21 now points back to 20) and a
+	// chord 19→22 keeps the rest reachable: every degree stays legal and the
+	// root reaches every node, but 20 and 21 cannot reach the root. The chord
+	// cuts the preorder at 20, so the dirty suffix (12 of 32) is over the
+	// default threshold.
+	d := new(graph.Delta).Delete(21, 1, 22, 1).Insert(21, 1, 20, 2).Insert(19, 2, 22, 2)
+	st, err := j.Cached().remapState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := remap.Patch(prevTopo, st, d, remap.Options{}); !errors.Is(err, remap.ErrTooDirty) {
+		t.Fatalf("setup: delta is not over the threshold: %v", err)
+	}
+	mutated := d.MustApplyClone(prevTopo)
+	if _, _, err := remap.Rebuild(mutated, 0); err != nil {
+		t.Fatalf("setup: root should still reach every node: %v", err)
+	}
+	entries := p.Stats().CacheEntries
+
+	if _, err := p.Remap(ctx, g.CanonicalDigest(0), d); err == nil {
+		t.Fatal("delta leaving nodes unable to reach the root accepted")
+	}
+	s := p.Stats()
+	if s.CacheEntries != entries || s.RemapFull != 0 {
+		t.Fatalf("rejected delta touched the cache (%d -> %d entries) or was counted (full %d)",
+			entries, s.CacheEntries, s.RemapFull)
+	}
+	if ent := p.Lookup(mutated, 0); ent != nil {
+		t.Fatal("rejected delta left a cache entry behind")
+	}
+}
+
+// TestPoolRemapDeepRing4096: a deep delta on a ring-4096 — an engine run of
+// this size would take minutes — is served by the full structural rebuild
+// with the engine untouched.
+func TestPoolRemapDeepRing4096(t *testing.T) {
+	p := New(Options{Size: 1, CacheBytes: 64 << 20, CacheShards: 1, Run: core.Options{Workers: 1}})
+	defer p.Close()
+	ctx := context.Background()
+
+	// Seed the cache with the base the engine would have produced: by the
+	// preorder theorem that is the structural rebuild of the ring.
+	g := graph.Ring(4096)
+	recon, _, err := remap.Rebuild(g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := newCached(g, 0, &core.RunResult{Topology: recon})
+	p.cache.Put(cache.Key{Digest: [cache.DigestSize]byte(g.CanonicalDigest(0)), Options: p.optFP}, base, base.cost())
+
+	// A chord from node 1 forward cuts the preorder at 2: 4094 dirty labels.
+	d := new(graph.Delta).Insert(1, 2, 5, 2)
+	out, err := p.Remap(ctx, g.CanonicalDigest(0), d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Kind != RemapFull || out.Dirty != 4096 {
+		t.Fatalf("kind %v dirty %d, want full 4096", out.Kind, out.Dirty)
+	}
+	if s := p.Stats(); s.Served != 0 || s.RemapFull != 1 {
+		t.Fatalf("deep remap: Served %d RemapFull %d, want 0 and 1", s.Served, s.RemapFull)
+	}
+	want, _, err := remap.Rebuild(d.MustApplyClone(recon), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Ent.Res.Topology.Equal(want) || out.Digest != want.CanonicalDigest(0) {
+		t.Fatal("deep remap != structural rebuild of the mutated ring")
 	}
 }
 
@@ -178,13 +280,13 @@ func TestPoolRemapErrors(t *testing.T) {
 	bare := New(Options{Size: 1, Run: core.Options{Workers: 1}})
 	defer bare.Close()
 	d := new(graph.Delta).Insert(1, 2, 0, 2)
-	if _, err := bare.Remap(context.Background(), graph.Digest{}, d, remap.Options{}); !errors.Is(err, ErrNoCache) {
+	if _, err := bare.Remap(context.Background(), graph.Digest{}, d); !errors.Is(err, ErrNoCache) {
 		t.Fatalf("cache-less remap: %v, want ErrNoCache", err)
 	}
 
 	p := cachedPool(1)
 	defer p.Close()
-	if _, err := p.Remap(context.Background(), graph.Digest{0xAB}, d, remap.Options{}); !errors.Is(err, ErrUnknownBase) {
+	if _, err := p.Remap(context.Background(), graph.Digest{0xAB}, d); !errors.Is(err, ErrUnknownBase) {
 		t.Fatalf("unknown base: %v, want ErrUnknownBase", err)
 	}
 	if s := p.Stats(); s.RemapBaseMisses != 1 {
@@ -201,10 +303,10 @@ func TestPoolRemapErrors(t *testing.T) {
 	}
 	// Deleting a ring edge disconnects the cycle: the SC guard must reject.
 	bad := new(graph.Delta).Delete(5, 1, 6, 1)
-	if _, err := p.Remap(context.Background(), g.CanonicalDigest(0), bad, remap.Options{}); err == nil {
+	if _, err := p.Remap(context.Background(), g.CanonicalDigest(0), bad); err == nil {
 		t.Fatal("model-breaking delta accepted")
 	}
-	if _, err := p.Remap(context.Background(), g.CanonicalDigest(0), nil, remap.Options{}); err == nil {
+	if _, err := p.Remap(context.Background(), g.CanonicalDigest(0), nil); err == nil {
 		t.Fatal("nil delta accepted")
 	}
 
@@ -214,7 +316,7 @@ func TestPoolRemapErrors(t *testing.T) {
 	island := new(graph.Delta).AddNode().AddNode().
 		Insert(16, 1, 17, 1).
 		Insert(17, 1, 16, 1)
-	if _, err := p.Remap(context.Background(), g.CanonicalDigest(0), island, remap.Options{MaxDirtyFrac: 1}); err == nil {
+	if _, err := p.Remap(context.Background(), g.CanonicalDigest(0), island); err == nil {
 		t.Fatal("disconnected island delta accepted")
 	}
 	mutated, err := island.ApplyClone(j.Cached().Res.Topology)
@@ -259,7 +361,7 @@ func TestPoolRemapFlightCollision(t *testing.T) {
 	close(fl.done)
 	defer p.remapFlights.Forget(k)
 
-	out, err := p.Remap(ctx, base, d, remap.Options{})
+	out, err := p.Remap(ctx, base, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +406,7 @@ func TestPoolRemapSingleflight(t *testing.T) {
 		go func(i int) {
 			defer done.Done()
 			start.Wait()
-			outs[i], errs[i] = p.Remap(ctx, base, d, remap.Options{})
+			outs[i], errs[i] = p.Remap(ctx, base, d)
 		}(i)
 	}
 	start.Done()
@@ -390,7 +492,7 @@ func TestCacheStatsConcurrentLookupEviction(t *testing.T) {
 	go func() { // remaps racing eviction of their own base
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
-			if _, err := p.Remap(ctx, base, d, remap.Options{}); err != nil && !errors.Is(err, ErrUnknownBase) {
+			if _, err := p.Remap(ctx, base, d); err != nil && !errors.Is(err, ErrUnknownBase) {
 				t.Errorf("remap: %v", err)
 				return
 			}

@@ -137,11 +137,10 @@ type Stats struct {
 	CacheHitRate float64
 
 	// Remap counters (the delta-patching tier; all zero when the cache is
-	// disabled). RemapIncremental counts remaps served by the structural
-	// patch — no engine run; RemapFull counts remaps whose dirty set forced
-	// the full-protocol fallback (those runs also appear in Served/
-	// CacheMisses, because the fallback rides the ordinary submit path);
-	// RemapShared counts remaps that collapsed onto an identical patch in
+	// disabled; no remap runs the engine, so none appears in Served).
+	// RemapIncremental counts remaps served by the suffix patch; RemapFull
+	// counts remaps whose dirty set exceeded the threshold and were served by
+	// a full structural rebuild; RemapShared counts remaps that collapsed onto an identical patch in
 	// flight; RemapBaseMisses counts remaps rejected because their base
 	// digest was not cached.
 	RemapIncremental uint64

@@ -29,8 +29,9 @@ var ParseDelta = graph.UnmarshalDeltaString
 type Digest = graph.Digest
 
 // RemapKind classifies how a Service.Remap produced its result:
-// RemapIncremental (structural patch, no engine run) or RemapFull (the dirty
-// set forced a full protocol run on the mutated graph).
+// RemapIncremental (suffix patch) or RemapFull (the dirty set exceeded the
+// threshold and the whole reconstruction was rebuilt structurally). Neither
+// runs the protocol.
 type RemapKind = service.RemapKind
 
 // Remap kinds.
@@ -48,41 +49,32 @@ var (
 	ErrUnknownBase = service.ErrUnknownBase
 )
 
-// RemapOptions tunes Session.Remap.
-type RemapOptions struct {
-	// MaxDirtyFrac is the dirty fraction above which the incremental patch
-	// is abandoned for a full protocol remap: a delta that invalidates more
-	// than this fraction of the reconstruction's preorder labels re-runs
-	// the protocol on the mutated graph instead. 0 selects the default
-	// (0.25); 1 or more patches structurally no matter how dirty.
-	MaxDirtyFrac float64
-}
-
 // RemapResult is the outcome of Session.Remap: a Result for the mutated
-// network plus how it was produced. Incremental results ran no protocol, so
-// their Ticks/Messages/Transactions are zero; fallback results carry real
-// engine counters.
+// network plus how it was produced. No remap runs the protocol, so
+// Ticks/Messages/Transactions are zero.
 type RemapResult struct {
 	Result
-	// Incremental reports whether the structural patch served the remap
-	// (false = full protocol fallback).
+	// Incremental reports whether the suffix patch served the remap (false =
+	// the delta dirtied over a quarter of the labels and the whole
+	// reconstruction was rebuilt structurally).
 	Incremental bool
-	// Dirty is the number of node labels the patch had to replay.
+	// Dirty is the number of node labels the remap had to replay.
 	Dirty int
 }
 
 // Remap revalidates and patches a prior reconstruction under a delta instead
-// of re-running the protocol, falling back to a full remap when the delta
-// invalidates too much (RemapOptions.MaxDirtyFrac). prev must be a Result
-// (or RemapResult.Result) produced by this package; its Topology is not
-// mutated. The returned reconstruction is bit-equal — same graph, same
-// canonical digest — to what Map would return for the mutated network.
+// of re-running the protocol; a delta that invalidates over a quarter of the
+// labels is served by a full structural rebuild, still without the protocol.
+// prev must be a Result (or RemapResult.Result) produced by this package;
+// its Topology is not mutated. The returned reconstruction is bit-equal —
+// same graph, same canonical digest — to what Map would return for the
+// mutated network.
 //
 // The session memoizes the remap state of the last reconstruction it
 // primed or patched, so chaining Remap calls (prev = the previous call's
 // Result) stays in the fast path; remapping an arbitrary older Result works
 // too and costs one state re-derivation.
-func (s *Session) Remap(prev *Result, d *Delta, opts RemapOptions) (*RemapResult, error) {
+func (s *Session) Remap(prev *Result, d *Delta) (*RemapResult, error) {
 	if prev == nil || prev.Topology == nil {
 		return nil, fmt.Errorf("topomap: remap: nil prior result")
 	}
@@ -90,7 +82,7 @@ func (s *Session) Remap(prev *Result, d *Delta, opts RemapOptions) (*RemapResult
 	if s.remapTopo == prev.Topology {
 		st = s.remapState
 	}
-	res, err := s.inner.Remap(prev.Topology, st, d, remap.Options{MaxDirtyFrac: opts.MaxDirtyFrac})
+	res, err := s.inner.Remap(prev.Topology, st, d)
 	if err != nil {
 		return nil, fmt.Errorf("topomap: %w", err)
 	}
@@ -113,7 +105,7 @@ type ServiceRemap struct {
 	// for chaining further Remap calls.
 	Digest Digest
 	// Kind reports the serving path; Dirty is the number of labels the
-	// patch replayed (the whole node count for RemapFull); Shared reports
+	// remap replayed (the whole node count for RemapFull); Shared reports
 	// that this call collapsed onto an identical remap already in flight.
 	Kind   RemapKind
 	Dirty  int
@@ -124,14 +116,13 @@ type ServiceRemap struct {
 // its content address (the canonical digest of the mapped graph anchored at
 // its root), under a delta whose node ids live in that reconstruction's
 // label space (node 0 = root). The result is bit-equal to mapping the
-// mutated network from scratch; deltas within opts.MaxDirtyFrac never touch
-// the engine, dirtier ones fall back to a full protocol run through the
-// service's ordinary submit path. Concurrent identical remaps collapse onto
-// one patch. ErrUnknownBase means the base was evicted or never mapped —
+// mutated network from scratch, and no remap touches the engine: deltas
+// that dirty over a quarter of the labels are rebuilt structurally instead
+// of patched. Concurrent identical remaps collapse onto one patch. ErrUnknownBase means the base was evicted or never mapped —
 // submit the full graph instead. cmd/topomapd serves PATCH /map through
 // this method.
-func (s *Service) Remap(ctx context.Context, base Digest, d *Delta, opts RemapOptions) (*ServiceRemap, error) {
-	out, err := s.pool.Remap(ctx, base, d, remap.Options{MaxDirtyFrac: opts.MaxDirtyFrac})
+func (s *Service) Remap(ctx context.Context, base Digest, d *Delta) (*ServiceRemap, error) {
+	out, err := s.pool.Remap(ctx, base, d)
 	if err != nil {
 		return nil, fmt.Errorf("topomap: %w", err)
 	}

@@ -23,7 +23,7 @@ func TestSessionRemapChain(t *testing.T) {
 	}
 	cur := prev
 	for i, d := range deltas {
-		rr, err := s.Remap(cur, d, topomap.RemapOptions{})
+		rr, err := s.Remap(cur, d)
 		if err != nil {
 			t.Fatalf("remap %d: %v", i, err)
 		}
@@ -56,17 +56,17 @@ func TestSessionRemapFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Rewiring the root's tree edge dirties every label: the default
-	// threshold forces the full protocol fallback.
+	// threshold forces the full structural rebuild, which runs no protocol.
 	d := new(topomap.Delta).Delete(0, 1, 1, 1).Insert(0, 1, 1, 1)
-	rr, err := s.Remap(prev, d, topomap.RemapOptions{})
+	rr, err := s.Remap(prev, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rr.Incremental {
-		t.Fatalf("expected a full-remap fallback, got incremental (dirty %d)", rr.Dirty)
+	if rr.Incremental || rr.Dirty != 32 {
+		t.Fatalf("expected a full rebuild of 32 labels, got incremental=%v dirty=%d", rr.Incremental, rr.Dirty)
 	}
-	if rr.Ticks == 0 {
-		t.Fatalf("fallback remap reports no engine ticks")
+	if rr.Ticks != 0 || rr.Messages != 0 || rr.Transactions != 0 {
+		t.Fatalf("full rebuild reports protocol counters: %+v", rr.Result)
 	}
 	if !rr.Topology.Equal(prev.Topology) {
 		t.Fatalf("identity rewire changed the reconstruction")
@@ -74,7 +74,7 @@ func TestSessionRemapFallback(t *testing.T) {
 
 	// Remapping from an older, non-memoized Result still works.
 	d2 := new(topomap.Delta).Insert(20, 2, 5, 2)
-	rr2, err := s.Remap(prev, d2, topomap.RemapOptions{})
+	rr2, err := s.Remap(prev, d2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -223,7 +223,7 @@ func (c *CachedResult) Exact() bool { return c.ent.Exact }
 // Edges returns the topology's wired-edge count.
 func (c *CachedResult) Edges() int { return c.ent.Edges }
 
-// Remapped reports that the entry was produced by a structural patch
+// Remapped reports that the entry was produced by a structural remap
 // (Service.Remap) rather than an engine run: its topology is bit-equal to a
 // full map's, but the Result carries zero protocol counters (Ticks,
 // Messages, Transactions).
